@@ -22,25 +22,40 @@ import pyarrow as pa
 
 
 def parse_aids_text(text: str) -> dict[str, pa.Table]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """aids text → tabular twin. Each record is exactly three physical lines
+    (header, vertex labels, edge triples); the edge line of an ``m = 0`` graph
+    is blank but still present, so blank lines are skipped only between
+    records. A truncated record, a count that disagrees with its header, or
+    an edge endpoint outside ``1..n`` raises ``ValueError``."""
+    lines = text.splitlines()
     g_ids, g_labels, g_ns, g_ms = [], [], [], []
     v_gid, v_vid, v_lab = [], [], []
     e_gid, e_v, e_w, e_lab = [], [], [], []
     i = 0
     while i < len(lines):
         line = lines[i].strip()
+        if not line:
+            i += 1
+            continue
         if line == "$":
             break
-        if not line.startswith("#"):
-            raise ValueError(f"expected header line, got {line[:40]!r}")
         parts = line.split()
-        gid, glabel, n, m = int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])
+        if parts[0] != "#" or len(parts) != 5:
+            raise ValueError(f"expected header line, got {line[:40]!r}")
+        gid, glabel, n, m = (int(p) for p in parts[1:])
+        if i + 2 >= len(lines):
+            raise ValueError(f"graph {gid}: truncated record")
         vlabels = lines[i + 1].split()
         if len(vlabels) != n:
             raise ValueError(f"graph {gid}: {len(vlabels)} vertex labels, header n={n}")
-        etokens = lines[i + 2].split() if m > 0 else []
+        etokens = lines[i + 2].split()
         if len(etokens) != 3 * m:
             raise ValueError(f"graph {gid}: {len(etokens)} edge tokens, header m={m}")
+        vs = [int(t) for t in etokens[0::3]]
+        ws = [int(t) for t in etokens[1::3]]
+        for x in vs + ws:
+            if not 1 <= x <= n:
+                raise ValueError(f"graph {gid}: edge endpoint {x} outside 1..{n}")
         g_ids.append(gid)
         g_labels.append(glabel)
         g_ns.append(n)
@@ -49,11 +64,10 @@ def parse_aids_text(text: str) -> dict[str, pa.Table]:
             v_gid.append(gid)
             v_vid.append(vi)
             v_lab.append(lab)
-        for j in range(m):
-            e_gid.append(gid)
-            e_v.append(int(etokens[3 * j]))
-            e_w.append(int(etokens[3 * j + 1]))
-            e_lab.append(etokens[3 * j + 2])
+        e_gid.extend([gid] * m)
+        e_v.extend(vs)
+        e_w.extend(ws)
+        e_lab.extend(etokens[2::3])
         i += 3
 
     return {

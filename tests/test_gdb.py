@@ -1,8 +1,10 @@
-"""Transactional graph-DB layer: aids format roundtrip on the reference's own
-shipped corpora, per-graph measure kernels vs brute force, canonical tree
-strings (isomorphism invariance + roundtrip)."""
+"""Transactional graph-DB layer: aids format roundtrip on a hand-written
+five-tree fixture (``tests/fixtures/5trees.aids.txt``), per-graph measure
+kernels vs brute force, canonical tree strings (isomorphism invariance +
+roundtrip)."""
 
 import itertools
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -24,7 +26,9 @@ from graphminingtools_ray.sources.aids import (
     write_aids_text,
 )
 
-HIV5 = "/root/reference/data/5hivtrees.txt"
+# five hand-written trees (path, star, single vertex, 44-vertex caterpillar,
+# branching tree) with non-consecutive ids, in the upstream 5hivtrees layout
+HIV5 = os.path.join(os.path.dirname(__file__), "fixtures", "5trees.aids.txt")
 
 
 def test_aids_parse_reference_file():
@@ -45,6 +49,38 @@ def test_aids_roundtrip():
     t2 = parse_aids_text(text)
     for k in t:
         assert t[k].equals(t2[k]), k
+
+
+def test_aids_edgeless_graph_mid_file_roundtrips():
+    """An m = 0 graph keeps its (blank) edge line; the records after it must
+    not shift, and write_aids_text -> parse_aids_text is an inverse."""
+    text = "# 1 0 3 2\nC O N\n1 2 1 3 2 1\n# 5 -1 1 0\nCU\n\n# 9 1 2 1\nC H\n2 1 1\n$\n"
+    t = parse_aids_text(text)
+    assert t["gdb_graphs"].to_pylist() == [
+        {"graph_id": 1, "label": 0, "n": 3, "m": 2},
+        {"graph_id": 5, "label": -1, "n": 1, "m": 0},
+        {"graph_id": 9, "label": 1, "n": 2, "m": 1},
+    ]
+    assert t["gdb_vertices"]["label"].to_pylist() == ["C", "O", "N", "CU", "C", "H"]
+    assert t["gdb_edges"].to_pylist()[-1] == {
+        "graph_id": 9, "v": 2, "w": 1, "label": "1"
+    }
+    t2 = parse_aids_text(write_aids_text(t))
+    for k in t:
+        assert t[k].equals(t2[k]), k
+
+
+def test_aids_edge_endpoint_out_of_range_raises():
+    text = "# 4 0 42 1\n" + " ".join(["C"] * 42) + "\n1 43 1\n$\n"
+    with pytest.raises(ValueError, match="endpoint 43 outside 1..42"):
+        parse_aids_text(text)
+    with pytest.raises(ValueError, match="endpoint 0 outside 1..2"):
+        parse_aids_text("# 4 0 2 1\nC C\n0 1 1\n$\n")
+
+
+def test_aids_truncated_record_raises():
+    with pytest.raises(ValueError, match="truncated"):
+        parse_aids_text("# 1 0 2 1\nC O\n1 2 1\n# 2 0 2 1\nC O\n")
 
 
 def test_half_edges_directed_vs_undirected():
@@ -187,7 +223,8 @@ def test_spanning_trees():
 
 
 def test_hivtrees_are_trees_distributed():
-    """The reference's HIV corpora are trees — run the kernel as the real
+    """The five-tree fixture (standing in for the reference's HIV tree
+    corpora) is all trees — run the kernel as the real
     groupby(graph_id).map_groups Dataset pipeline."""
     t = read_aids(HIV5)
     measures = graph_measures(
